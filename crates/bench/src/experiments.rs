@@ -1,6 +1,6 @@
 //! The experiment implementations (F1, F2, E1–E13 of DESIGN.md).
 //!
-//! Every function returns one or more [`Table`]s; the `experiments` binary
+//! Every function returns one or more [`Table`]s; `cpdb_bench experiments`
 //! prints them and `EXPERIMENTS.md` records a captured run next to what the
 //! paper states. The Criterion benches in `benches/` time the same building
 //! blocks.
@@ -898,24 +898,38 @@ pub fn genfunc_scaling_table() -> Table {
     t
 }
 
-/// Runs every experiment, returning the tables in report order.
-pub fn run_all() -> Vec<Table> {
-    let mut tables = Vec::new();
-    tables.push(figure1_table());
-    tables.push(figure2_table());
-    tables.extend(set_distance_tables());
-    tables.extend(jaccard_tables());
-    tables.extend(topk_sym_diff_tables());
-    tables.extend(topk_median_tables());
-    tables.extend(topk_intersection_tables());
-    tables.extend(topk_footrule_tables());
-    tables.push(topk_kendall_table());
-    tables.push(rank_probability_table());
-    tables.extend(aggregate_tables());
-    tables.extend(clustering_tables());
-    tables.push(baselines_table());
-    tables.push(genfunc_scaling_table());
-    tables
+/// One experiment: the tables it reports.
+pub type Experiment = fn() -> Vec<Table>;
+
+/// Every experiment by name, in report order: `fig1`, `fig2`, `e1` (set
+/// distance; `e2` is an alias), `e3` (Jaccard), `e4` (Top-k d_Δ mean),
+/// `e5` (Top-k median DP), `e6` (intersection), `e7` (footrule), `e8`
+/// (Kendall), `e9` (rank probabilities), `e10` (aggregates), `e11`
+/// (clustering), `e12` (baselines), `e13` (generating-function scaling).
+pub const EXPERIMENTS: [(&str, Experiment); 14] = [
+    ("fig1", || vec![figure1_table()]),
+    ("fig2", || vec![figure2_table()]),
+    ("e1", set_distance_tables),
+    ("e3", jaccard_tables),
+    ("e4", topk_sym_diff_tables),
+    ("e5", topk_median_tables),
+    ("e6", topk_intersection_tables),
+    ("e7", topk_footrule_tables),
+    ("e8", || vec![topk_kendall_table()]),
+    ("e9", || vec![rank_probability_table()]),
+    ("e10", aggregate_tables),
+    ("e11", clustering_tables),
+    ("e12", || vec![baselines_table()]),
+    ("e13", || vec![genfunc_scaling_table()]),
+];
+
+/// The experiment called `name` (`e2` runs `e1`), if there is one.
+pub fn experiment(name: &str) -> Option<Experiment> {
+    let name = if name == "e2" { "e1" } else { name };
+    EXPERIMENTS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, tables)| tables)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Fault-recovery workload behind the `fault_recovery` JSON emitter binary.
+//! The `fault_recovery` scenario, written to `BENCH_fault_recovery.json`.
 //!
 //! Two questions the robustness layer must answer with numbers:
 //!
@@ -18,21 +18,27 @@
 //!   per record; the workload times identical operations through the
 //!   production [`cpdb_store::StdVfs`] (dynamic dispatch through
 //!   `Box<dyn VfsFile>`) and through `std::fs::File` directly, on the same
-//!   buffers. The emitter's `--check` gate asserts the indirection costs
+//!   buffers. The scenario's `--check` gate asserts the indirection costs
 //!   at most 2% of a durable append: the dispatch delta is resolved on
 //!   the buffered write path (where ~25 ns is measurable) and divided by
 //!   the durable-append floor (see [`VfsOverheadResult::overhead_pct`]).
 //!   The abstraction the fault injection hangs off must be free in
 //!   production.
 
-use cpdb_engine::TreeDelta;
+use crate::harness::{best_of, iq_mean, leaf_deltas, Json, Outcome, ScratchDir, REPS, SEED};
+use crate::Table;
 use cpdb_live::{LiveEngine, LiveError};
 use cpdb_store::{std_vfs, FaultVfs, RetryPolicy, Store, StoreOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Durable appends per side per rep in the floor measurement.
+const APPENDS: usize = 256;
+
+/// Bytes per write on both the buffered and the durable path.
+const BUF_BYTES: usize = 4096;
 
 /// Recovery latencies at one WAL length.
 pub struct RecoveryResult {
@@ -108,47 +114,6 @@ impl VfsOverheadResult {
     }
 }
 
-/// Mean of the middle half of `samples` — robust to the heavy upper tail
-/// (scheduler preemption, CPU steal) and to the occasional
-/// too-fast-to-trust clock reading at the bottom.
-fn iq_mean(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    let (lo, hi) = (samples.len() / 4, samples.len() * 3 / 4);
-    samples[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
-}
-
-fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "cpdb_fault_recovery_{tag}_{}_{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-/// A WAL-growing delta sequence: leaf-value updates cycling over the
-/// tree's leaves — always valid, and each one replays through the
-/// delta-aware maintenance path on recovery.
-fn leaf_deltas(tree: &cpdb_andxor::AndXorTree, count: usize) -> Vec<TreeDelta> {
-    let leaves = tree.leaf_nodes();
-    (0..count)
-        .map(|i| TreeDelta::LeafValue {
-            leaf: leaves[i % leaves.len()],
-            value: 40.0 + (i % 53) as f64,
-        })
-        .collect()
-}
-
 /// Measures recovery latency at each WAL length in `wal_lens` for an
 /// `n`-block fleet: the writer logs that many deltas (compaction held
 /// off), then the store scan, the warm start, and the degraded-mode
@@ -166,11 +131,11 @@ pub fn measure_recovery(
             let deltas = leaf_deltas(&tree, records);
 
             // On-disk writer for the open-path measurements.
-            let dir = temp_dir("open");
-            let _ = std::fs::remove_dir_all(&dir);
+            let scratch = ScratchDir::new("fault_recovery_open");
+            let dir = scratch.path();
             let live = LiveEngine::new_durable(
                 crate::update_throughput::live_engine(tree.clone(), seed),
-                &dir,
+                dir,
             )
             .expect("fresh store directory is creatable");
             live.set_snapshot_every(u64::MAX); // hold compaction off: pure WAL replay
@@ -183,15 +148,15 @@ pub fn measure_recovery(
                 .expect("wal file exists")
                 .len();
 
-            let store_scan_ms = best_ms(reps, || {
-                let (_store, recovered) = Store::open(&dir).expect("store recovers");
+            let store_scan_ms = best_of(reps, || {
+                let (_store, recovered) = Store::open(dir).expect("store recovers");
                 assert_eq!(recovered.epoch(), final_epoch, "scan lost an epoch");
-            });
-            let warm_open_ms = best_ms(reps, || {
-                let reopened = LiveEngine::open(&dir).expect("warm start succeeds");
+            }) * 1e3;
+            let warm_open_ms = best_of(reps, || {
+                let reopened = LiveEngine::open(dir).expect("warm start succeeds");
                 assert_eq!(reopened.epoch(), final_epoch, "warm start lost an epoch");
-            });
-            let _ = std::fs::remove_dir_all(&dir);
+            }) * 1e3;
+            drop(scratch);
 
             // Degraded round-trip on a FaultVfs: one injected append
             // failure degrades the writer; try_recover re-probes the same
@@ -245,11 +210,13 @@ pub fn measure_recovery(
 /// of the VFS indirection on the durable-apply hot path. The gated
 /// statistic is the op-interleaved interquartile mean of buffered
 /// `write_all` latencies; full durable appends (`write_all` +
-/// `sync_data`, `appends × reps` per side) are floor-timed for context.
-pub fn measure_vfs_overhead(appends: usize, buf_bytes: usize, reps: usize) -> VfsOverheadResult {
-    let dir = temp_dir("vfs");
-    std::fs::create_dir_all(&dir).expect("temp dir is creatable");
-    let buf = vec![0xA5u8; buf_bytes];
+/// `sync_data`, `APPENDS × REPS` per side) are floor-timed for the
+/// denominator.
+pub fn measure_vfs_overhead() -> VfsOverheadResult {
+    let scratch = ScratchDir::new("fault_recovery_vfs");
+    let dir = scratch.path();
+    std::fs::create_dir_all(dir).expect("temp dir is creatable");
+    let buf = vec![0xA5u8; BUF_BYTES];
 
     let vfs = std_vfs();
 
@@ -291,7 +258,7 @@ pub fn measure_vfs_overhead(appends: usize, buf_bytes: usize, reps: usize) -> Vf
     // each other — the device's fast path drifts several percent
     // run-to-run, which is exactly the noise the gate's delta/floor
     // construction keeps out of the numerator.
-    let durable_appends = appends * reps.max(1);
+    let durable_appends = APPENDS * REPS;
     let mut d_direct =
         std::fs::File::create(dir.join("durable_direct.bin")).expect("file is creatable");
     let mut d_via = vfs
@@ -310,14 +277,105 @@ pub fn measure_vfs_overhead(appends: usize, buf_bytes: usize, reps: usize) -> Vf
         via_vfs_durable_us = via_vfs_durable_us.min(start.elapsed().as_secs_f64() * 1e6);
     }
 
-    let _ = std::fs::remove_dir_all(&dir);
     VfsOverheadResult {
         writes: WRITES,
-        buf_bytes,
+        buf_bytes: BUF_BYTES,
         direct_write_us,
         via_vfs_write_us,
         durable_appends,
         direct_durable_us,
         via_vfs_durable_us,
+    }
+}
+
+/// The gate: the VFS indirection costs at most 2% of one durable append.
+/// (Recoveries that miss an epoch are asserted inside the workload.)
+pub fn gate(vfs: &VfsOverheadResult) -> Vec<String> {
+    let pct = vfs.overhead_pct();
+    if pct <= 2.0 {
+        Vec::new()
+    } else {
+        vec![format!(
+            "VFS indirection costs {pct:.3}% of a durable append (budget: 2%)"
+        )]
+    }
+}
+
+/// The `BENCH_fault_recovery.json` document.
+pub fn json(n: usize, recovery: &[RecoveryResult], vfs: &VfsOverheadResult) -> Json {
+    let mut lens = Json::object();
+    for r in recovery {
+        lens = lens.field(
+            r.wal_records,
+            Json::object()
+                .field("wal_bytes", r.wal_bytes)
+                .field("store_scan_ms", Json::fixed(r.store_scan_ms, 3))
+                .field("warm_open_ms", Json::fixed(r.warm_open_ms, 3))
+                .field("try_recover_ms", Json::fixed(r.try_recover_ms, 3)),
+        );
+    }
+    Json::object()
+        .field("bench", "fault_recovery")
+        .field("n", n)
+        .field("seed", SEED)
+        .field("reps", REPS)
+        .field("wal_lengths", lens)
+        .field(
+            "vfs_overhead",
+            Json::object()
+                .field("writes", vfs.writes)
+                .field("buf_bytes", vfs.buf_bytes)
+                .field("direct_write_us", Json::fixed(vfs.direct_write_us, 4))
+                .field("via_vfs_write_us", Json::fixed(vfs.via_vfs_write_us, 4))
+                .field("indirection_us", Json::fixed(vfs.indirection_us(), 4))
+                .field("durable_appends", vfs.durable_appends)
+                .field("direct_durable_us", Json::fixed(vfs.direct_durable_us, 1))
+                .field("via_vfs_durable_us", Json::fixed(vfs.via_vfs_durable_us, 1))
+                .field("overhead_pct", Json::fixed(vfs.overhead_pct(), 3)),
+        )
+}
+
+/// Runs the scenario on an `--n`-block fleet at each WAL length in
+/// `--lens`.
+pub fn scenario(n: usize, wal_lens: &[usize]) -> Outcome {
+    let recovery = measure_recovery(n, SEED, REPS, wal_lens);
+    let vfs = measure_vfs_overhead();
+    let mut t = Table::new(
+        &format!("fault_recovery — n = {n}, best of {REPS}"),
+        &[
+            "wal records",
+            "wal bytes",
+            "store scan ms",
+            "warm open ms",
+            "try_recover ms",
+        ],
+    );
+    for r in &recovery {
+        t.add_row(vec![
+            r.wal_records.to_string(),
+            r.wal_bytes.to_string(),
+            format!("{:.3}", r.store_scan_ms),
+            format!("{:.3}", r.warm_open_ms),
+            format!("{:.3}", r.try_recover_ms),
+        ]);
+    }
+    let table = format!(
+        "{}\nvfs indirection — {} buffered writes × {} B: direct {:.4} µs/op, via vfs {:.4} µs/op (delta {:+.4} µs)\n\
+         durable floor — {} appends: direct {:.1} µs, via vfs {:.1} µs; indirection = {:+.3}% of one durable append\n",
+        t.render(),
+        vfs.writes,
+        vfs.buf_bytes,
+        vfs.direct_write_us,
+        vfs.via_vfs_write_us,
+        vfs.indirection_us(),
+        vfs.durable_appends,
+        vfs.direct_durable_us,
+        vfs.via_vfs_durable_us,
+        vfs.overhead_pct()
+    );
+    Outcome {
+        table,
+        json: json(n, &recovery, &vfs),
+        failures: gate(&vfs),
     }
 }

@@ -1,4 +1,4 @@
-//! Observability workload behind the `observability` JSON emitter binary.
+//! The `observability` scenario, written to `BENCH_observability.json`.
 //!
 //! Two questions the instrumentation layer must answer with numbers:
 //!
@@ -12,8 +12,8 @@
 //!   measured per-query floor of an uninstrumented engine running the
 //!   standard probe mix — the same four query kinds (consensus world,
 //!   Top-k symmetric difference, footrule, Kendall) the testkit, the
-//!   `cpdb_stat` binary, and the other emitters treat as the serving
-//!   workload. The emitter's `--check` gate asserts the result stays
+//!   `cpdb_stat` binary, and the other scenarios treat as the serving
+//!   workload. The scenario's `--check` gate asserts the result stays
 //!   within 2% of a mix query — the sink must be attachable in production
 //!   without moving any number the other benches report. Two numbers are
 //!   reported but never gated, for honesty about the construction: the
@@ -33,9 +33,20 @@
 //!   populated registry and a full ring, because `cpdb_stat` and the
 //!   degraded-health dumps run them against exactly that.
 
+use crate::harness::{best_of, iq_mean, Json, Outcome, REPS, SEED};
+use crate::Table;
 use cpdb_engine::{ConsensusEngine, Query, SetMetric, TopKMetric, Variant};
 use cpdb_obs::{EventKind, Obs};
 use std::time::{Duration, Instant};
+
+/// Tight-loop iterations behind each primitive timing.
+const OPS: usize = 200_000;
+
+/// Registered metric series in the introspection measurement.
+const SERIES: usize = 48;
+
+/// Flight-recorder capacity in the introspection measurement.
+const EVENTS: usize = 1024;
 
 /// One query kind of the probe mix, measured on both sides.
 pub struct MixQueryResult {
@@ -145,27 +156,6 @@ pub struct SnapshotCostResult {
     pub recent_events_us: f64,
 }
 
-/// Mean of the middle half of `samples` — robust to the heavy upper tail
-/// (scheduler preemption, CPU steal) and to the occasional
-/// too-fast-to-trust clock reading at the bottom.
-fn iq_mean(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    let (lo, hi) = (samples.len() / 4, samples.len() * 3 / 4);
-    samples[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
-}
-
-/// Best (fastest) time for one call of `f` over `calls` calls, in
-/// microseconds.
-fn best_us(calls: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..calls.max(1) {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e6);
-    }
-    best
-}
-
 /// Nanoseconds per iteration of `f`, timed over `ops` iterations.
 fn ns_per_op(ops: usize, mut f: impl FnMut(usize)) -> f64 {
     let start = Instant::now();
@@ -185,7 +175,7 @@ fn instrumented_engine(n: usize, seed: u64, obs: Obs) -> ConsensusEngine {
 }
 
 /// The standard probe mix: the four warm query kinds every harness in the
-/// repo (testkit conformance, `cpdb_stat`, the other emitters) treats as
+/// repo (testkit conformance, `cpdb_stat`, the other scenarios) treats as
 /// the serving workload.
 fn probe_mix() -> Vec<(&'static str, Query)> {
     vec![
@@ -341,16 +331,10 @@ pub fn measure_snapshot_cost(series: usize, events: usize, reps: usize) -> Snaps
     }
 
     let calls = reps.max(1) * 8;
-    let snapshot_us = best_us(calls, || {
-        std::hint::black_box(obs.snapshot());
-    });
+    let snapshot_us = best_of(calls, || obs.snapshot()) * 1e6;
     let snapshot = obs.snapshot();
-    let to_json_us = best_us(calls, || {
-        std::hint::black_box(snapshot.to_json());
-    });
-    let recent_events_us = best_us(calls, || {
-        std::hint::black_box(obs.recent_events(events.max(1)));
-    });
+    let to_json_us = best_of(calls, || snapshot.to_json()) * 1e6;
+    let recent_events_us = best_of(calls, || obs.recent_events(events.max(1))) * 1e6;
 
     SnapshotCostResult {
         series,
@@ -358,5 +342,127 @@ pub fn measure_snapshot_cost(series: usize, events: usize, reps: usize) -> Snaps
         snapshot_us,
         to_json_us,
         recent_events_us,
+    }
+}
+
+/// The gate: the sink's per-query cost stays within 2% of one
+/// uninstrumented probe-mix query. The worst case against the cheapest
+/// kind is reported, not gated.
+pub fn gate(overhead: &ObsOverheadResult) -> Vec<String> {
+    let pct = overhead.overhead_pct();
+    if pct <= 2.0 {
+        Vec::new()
+    } else {
+        vec![format!(
+            "observability sink costs {pct:.4}% of a mix query (budget: 2%)"
+        )]
+    }
+}
+
+/// The `BENCH_observability.json` document.
+pub fn json(n: usize, overhead: &ObsOverheadResult, introspection: &SnapshotCostResult) -> Json {
+    let mut mix = Json::object();
+    for m in &overhead.mix {
+        mix = mix.field(
+            m.kind,
+            Json::object()
+                .field("plain_us", Json::fixed(m.plain_us, 3))
+                .field("instrumented_us", Json::fixed(m.instrumented_us, 3)),
+        );
+    }
+    Json::object()
+        .field("bench", "observability")
+        .field("n", n)
+        .field("seed", SEED)
+        .field("reps", REPS)
+        .field(
+            "hot_path",
+            Json::object()
+                .field("queries_per_kind", overhead.queries)
+                .field("mix", mix)
+                .field("plain_query_us", Json::fixed(overhead.plain_query_us(), 3))
+                .field(
+                    "instrumented_query_us",
+                    Json::fixed(overhead.instrumented_query_us(), 3),
+                )
+                .field(
+                    "min_plain_query_us",
+                    Json::fixed(overhead.min_plain_query_us(), 3),
+                )
+                .field("ops", overhead.ops)
+                .field("counter_ns", Json::fixed(overhead.counter_ns, 2))
+                .field("histogram_ns", Json::fixed(overhead.histogram_ns, 2))
+                .field("event_ns", Json::fixed(overhead.event_ns, 2))
+                .field("enabled_span_ns", Json::fixed(overhead.enabled_span_ns, 2))
+                .field(
+                    "disabled_span_ns",
+                    Json::fixed(overhead.disabled_span_ns, 2),
+                )
+                .field(
+                    "per_query_obs_ns",
+                    Json::fixed(overhead.per_query_obs_ns(), 2),
+                )
+                .field("overhead_pct", Json::fixed(overhead.overhead_pct(), 4))
+                .field("worst_case_pct", Json::fixed(overhead.worst_case_pct(), 4)),
+        )
+        .field(
+            "introspection",
+            Json::object()
+                .field("series", introspection.series)
+                .field("events", introspection.events)
+                .field("snapshot_us", Json::fixed(introspection.snapshot_us, 3))
+                .field("to_json_us", Json::fixed(introspection.to_json_us, 3))
+                .field(
+                    "recent_events_us",
+                    Json::fixed(introspection.recent_events_us, 3),
+                ),
+        )
+}
+
+/// Runs the scenario on an `--n`-block engine.
+pub fn scenario(n: usize) -> Outcome {
+    let overhead = measure_obs_overhead(n, SEED, REPS, OPS);
+    let introspection = measure_snapshot_cost(SERIES, EVENTS, REPS);
+    let mut t = Table::new(
+        &format!(
+            "observability — n = {n}, {} interleaved queries/side/kind, {} ops/primitive",
+            overhead.queries, overhead.ops
+        ),
+        &["mix kind", "plain µs", "instrumented µs"],
+    );
+    for m in &overhead.mix {
+        t.add_row(vec![
+            m.kind.to_string(),
+            format!("{:.2}", m.plain_us),
+            format!("{:.2}", m.instrumented_us),
+        ]);
+    }
+    let table = format!(
+        "{}\nmix mean — plain {:.2} µs, instrumented {:.2} µs (end-to-end, context only)\n\
+         primitives — counter {:.1} ns, histogram record {:.1} ns, event {:.1} ns ({:.1} Mevents/s)\n\
+         per-query bundle — enabled {:.1} ns, disabled {:.1} ns; sink adds {:.1} ns = {:+.4}% of one mix query ({:+.2}% of the cheapest kind, not gated)\n\
+         introspection — {} series, {} events: snapshot {:.2} µs, to_json {:.2} µs, recent_events {:.2} µs\n",
+        t.render(),
+        overhead.plain_query_us(),
+        overhead.instrumented_query_us(),
+        overhead.counter_ns,
+        overhead.histogram_ns,
+        overhead.event_ns,
+        overhead.events_per_us(),
+        overhead.enabled_span_ns,
+        overhead.disabled_span_ns,
+        overhead.per_query_obs_ns(),
+        overhead.overhead_pct(),
+        overhead.worst_case_pct(),
+        introspection.series,
+        introspection.events,
+        introspection.snapshot_us,
+        introspection.to_json_us,
+        introspection.recent_events_us
+    );
+    Outcome {
+        table,
+        json: json(n, &overhead, &introspection),
+        failures: gate(&overhead),
     }
 }

@@ -1,5 +1,5 @@
-//! Persistence round-trip workload shared by the `persistence_roundtrip`
-//! Criterion bench and the `persistence_roundtrip` JSON emitter binary.
+//! The `persistence` scenario: durable writes, snapshot writes and restart
+//! paths per fleet size, written to `BENCH_persistence.json`.
 //!
 //! The workload models the restart path of a durable serving engine: a
 //! [`cpdb_live::LiveEngine`] is created on disk, absorbs one delta of every
@@ -20,12 +20,13 @@
 //!
 //! [`persist_snapshot`]: cpdb_live::LiveEngine::persist_snapshot
 
+use crate::harness::{best_of, Json, Outcome, ScratchDir, REPS, SEED};
 use crate::update_throughput::{
     delta_suite, live_engine, live_tree, probe, warm_maintained_artifacts,
 };
+use crate::Table;
 use cpdb_live::LiveEngine;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::time::Instant;
 
 /// One measured persistence round-trip at a given fleet size.
@@ -74,45 +75,14 @@ impl PersistenceResult {
     }
 }
 
-fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best * 1e3
-}
-
-/// A fresh, unique scratch directory under the system temp dir.
-fn scratch_dir(n: usize, seed: u64) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let unique = format!(
-        "cpdb-bench-persistence-{}-{}-{}-{}",
-        std::process::id(),
-        n,
-        seed,
-        SEQ.fetch_add(1, Ordering::Relaxed),
-    );
-    let dir = std::env::temp_dir().join(unique);
-    std::fs::create_dir_all(&dir).expect("creating scratch dir");
-    dir
-}
-
-/// Builds a durable engine in a fresh scratch directory and logs one delta
-/// of every supported kind to its WAL. Returns the directory and the number
-/// of logged deltas (= the final epoch). The caller owns the directory.
-pub fn scratch_engine(n: usize, seed: u64) -> (PathBuf, usize) {
-    let (dir, deltas_applied, _) = scratch_engine_timed(n, seed);
-    (dir, deltas_applied)
-}
-
-fn scratch_engine_timed(n: usize, seed: u64) -> (PathBuf, usize, f64) {
+/// Builds a durable engine in `dir` and logs one delta of every supported
+/// kind to its WAL. Returns the number of logged deltas (= the final
+/// epoch) and the mean milliseconds per durable apply.
+fn durable_writer(dir: &Path, n: usize, seed: u64) -> (usize, f64) {
     let tree = live_tree(n, seed);
-    let dir = scratch_dir(n, seed);
     let engine = live_engine(tree.clone(), seed);
     warm_maintained_artifacts(&engine);
-    let live = LiveEngine::new_durable(engine, &dir).expect("creating durable engine");
+    let live = LiveEngine::new_durable(engine, dir).expect("creating durable engine");
     // One durable apply per delta kind; each WAL append is fsynced before
     // the epoch publishes. Deltas address nodes by id, so each one is
     // regenerated against the tree it will actually mutate.
@@ -126,7 +96,7 @@ fn scratch_engine_timed(n: usize, seed: u64) -> (PathBuf, usize, f64) {
             .unwrap_or_else(|e| panic!("applying suite delta {kind}: {e}"));
         apply_total_ms += start.elapsed().as_secs_f64() * 1e3;
     }
-    (dir, kinds, apply_total_ms / kinds as f64)
+    (kinds, apply_total_ms / kinds as f64)
 }
 
 /// Measures one persistence round-trip: durable writes, snapshot write, warm
@@ -134,8 +104,10 @@ fn scratch_engine_timed(n: usize, seed: u64) -> (PathBuf, usize, f64) {
 /// rebuild it replaces — asserting recovered ≡ writer answers throughout.
 pub fn measure_persistence(n: usize, seed: u64, reps: usize) -> PersistenceResult {
     let queries = probe();
-    let (dir, deltas_applied, durable_apply_ms) = scratch_engine_timed(n, seed);
-    let live = LiveEngine::open(&dir).expect("reopening the writer");
+    let scratch = ScratchDir::new("persistence");
+    let dir = scratch.path();
+    let (deltas_applied, durable_apply_ms) = durable_writer(dir, n, seed);
+    let live = LiveEngine::open(dir).expect("reopening the writer");
 
     let expected = live.snapshot();
     let expected_answers = expected.run_batch_serial(&queries);
@@ -147,12 +119,12 @@ pub fn measure_persistence(n: usize, seed: u64, reps: usize) -> PersistenceResul
     drop(live);
 
     // Warm start: epoch-0 snapshot decode + full WAL replay.
-    let warm_open_ms = best_ms(reps, || {
-        let reopened = LiveEngine::open(&dir).expect("warm reopen");
+    let warm_open_ms = best_of(reps, || {
+        let reopened = LiveEngine::open(dir).expect("warm reopen");
         assert_eq!(reopened.epoch(), deltas_applied as u64);
         reopened
-    });
-    let reopened = LiveEngine::open(&dir).expect("warm reopen");
+    }) * 1e3;
+    let reopened = LiveEngine::open(dir).expect("warm reopen");
     assert_eq!(
         reopened.snapshot().run_batch_serial(&queries),
         expected_answers,
@@ -160,23 +132,23 @@ pub fn measure_persistence(n: usize, seed: u64, reps: usize) -> PersistenceResul
     );
 
     // Snapshot of the final epoch (also compacts the WAL).
-    let snapshot_write_ms = best_ms(reps, || {
+    let snapshot_write_ms = best_of(reps, || {
         reopened
             .persist_snapshot()
             .expect("snapshotting the final epoch")
-    });
+    }) * 1e3;
     let snapshot_bytes = std::fs::metadata(dir.join(format!("snapshot-{deltas_applied}.cpdb")))
         .expect("final-epoch snapshot exists")
         .len();
     drop(reopened);
 
     // Snapshot-only start: the WAL was compacted, so open is pure decode.
-    let snapshot_only_open_ms = best_ms(reps, || {
-        let reopened = LiveEngine::open(&dir).expect("snapshot-only reopen");
+    let snapshot_only_open_ms = best_of(reps, || {
+        let reopened = LiveEngine::open(dir).expect("snapshot-only reopen");
         assert_eq!(reopened.epoch(), deltas_applied as u64);
         reopened
-    });
-    let reopened = LiveEngine::open(&dir).expect("snapshot-only reopen");
+    }) * 1e3;
+    let reopened = LiveEngine::open(dir).expect("snapshot-only reopen");
     assert_eq!(
         reopened.snapshot().run_batch_serial(&queries),
         expected_answers,
@@ -185,11 +157,11 @@ pub fn measure_persistence(n: usize, seed: u64, reps: usize) -> PersistenceResul
     drop(reopened);
 
     // The alternative: recompute everything from the final tree.
-    let cold_build_ms = best_ms(reps, || {
+    let cold_build_ms = best_of(reps, || {
         let cold = live_engine(final_tree.clone(), seed);
         warm_maintained_artifacts(&cold);
         cold
-    });
+    }) * 1e3;
     let cold = live_engine(final_tree.clone(), seed);
     warm_maintained_artifacts(&cold);
     assert_eq!(
@@ -198,7 +170,6 @@ pub fn measure_persistence(n: usize, seed: u64, reps: usize) -> PersistenceResul
         "cold rebuild diverges from the recovered serving state"
     );
 
-    std::fs::remove_dir_all(&dir).ok();
     PersistenceResult {
         n,
         deltas_applied,
@@ -209,6 +180,110 @@ pub fn measure_persistence(n: usize, seed: u64, reps: usize) -> PersistenceResul
         warm_open_ms,
         snapshot_only_open_ms,
         cold_build_ms,
+    }
+}
+
+/// The gate: the warm start is no slower than the cold rebuild at any
+/// size. (Recovered ≡ writer answers are asserted inside the workload.)
+pub fn gate(results: &[PersistenceResult]) -> Vec<String> {
+    results
+        .iter()
+        .filter(|r| r.cold_over_warm() < 1.0)
+        .map(|r| {
+            format!(
+                "warm start at n = {} ({:.3} ms) is slower than the cold rebuild ({:.3} ms)",
+                r.n, r.warm_open_ms, r.cold_build_ms
+            )
+        })
+        .collect()
+}
+
+/// The `BENCH_persistence.json` document.
+pub fn json(results: &[PersistenceResult]) -> Json {
+    let mut sizes = Json::object();
+    for r in results {
+        sizes = sizes.field(
+            r.n,
+            Json::object()
+                .field("deltas_logged", r.deltas_applied)
+                .field("snapshot_bytes", r.snapshot_bytes)
+                .field("wal_bytes", r.wal_bytes)
+                .field("durable_apply_ms", Json::fixed(r.durable_apply_ms, 3))
+                .field("snapshot_write_ms", Json::fixed(r.snapshot_write_ms, 3))
+                .field(
+                    "snapshot_write_mb_per_s",
+                    Json::fixed(r.snapshot_write_mbps(), 1),
+                )
+                .field("warm_open_ms", Json::fixed(r.warm_open_ms, 3))
+                .field(
+                    "snapshot_only_open_ms",
+                    Json::fixed(r.snapshot_only_open_ms, 3),
+                )
+                .field(
+                    "snapshot_load_mb_per_s",
+                    Json::fixed(r.snapshot_load_mbps(), 1),
+                )
+                .field("cold_build_ms", Json::fixed(r.cold_build_ms, 3))
+                .field("cold_over_warm", Json::fixed(r.cold_over_warm(), 2)),
+        );
+    }
+    Json::object()
+        .field("schema", "cpdb.persistence.v1")
+        .field(
+            "workload",
+            Json::object()
+                .field("seed", SEED)
+                .field("reps", REPS)
+                .field("deltas", "one per TreeDelta kind"),
+        )
+        .field(
+            "note",
+            "durable scored-BID serving engine: every apply appends a checksummed, \
+             fsynced WAL record before the epoch publishes. warm open = LiveEngine::open \
+             (versioned snapshot decode with per-section CRC verification + WAL tail replay \
+             through the delta-aware maintenance path); snapshot-only open = the same after \
+             persist_snapshot compacted the WAL; cold build = fresh engine from the final tree \
+             + recomputing the warm artifact families. Recovered engines answer bit-identically \
+             to their writer on every measurement.",
+        )
+        .field("sizes", sizes)
+}
+
+/// Runs the scenario once per fleet size in `--sizes`.
+pub fn scenario(sizes: &[usize]) -> Outcome {
+    let results: Vec<PersistenceResult> = sizes
+        .iter()
+        .map(|&n| measure_persistence(n, SEED, REPS))
+        .collect();
+    let mut t = Table::new(
+        &format!("persistence — sizes = {sizes:?}, best of {REPS}"),
+        &[
+            "n",
+            "snap bytes",
+            "write ms",
+            "warm open ms",
+            "snap open ms",
+            "cold build ms",
+            "apply ms",
+            "x",
+        ],
+    );
+    for r in &results {
+        t.add_row(vec![
+            r.n.to_string(),
+            r.snapshot_bytes.to_string(),
+            format!("{:.3}", r.snapshot_write_ms),
+            format!("{:.3}", r.warm_open_ms),
+            format!("{:.3}", r.snapshot_only_open_ms),
+            format!("{:.3}", r.cold_build_ms),
+            format!("{:.3}", r.durable_apply_ms),
+            format!("{:.2}x", r.cold_over_warm()),
+        ]);
+    }
+    Outcome {
+        table: t.render(),
+        json: json(&results),
+        failures: gate(&results),
     }
 }
 

@@ -1,6 +1,6 @@
-//! Legacy-vs-batch artifact builds shared by the `rank_artifacts` Criterion
-//! bench and the `rank_artifacts` JSON emitter binary, so both report the
-//! same computation.
+//! The `rank_artifacts` scenario: legacy-vs-batch cold builds of the
+//! rank-PMF table, the Kendall tournament and the co-clustering weights,
+//! written to `BENCH_rank_artifacts.json`.
 //!
 //! "Legacy" is the pre-batch cold-build path: one generating-function sweep
 //! per key for the rank-PMF table, one per ordered pair for the Kendall
@@ -8,12 +8,14 @@
 //! single-sweep evaluator of `cpdb_andxor::batch` the engine now routes
 //! through.
 
+use crate::harness::{best_of, Json, Outcome, REPS, SEED};
+use crate::Table;
 use cpdb_andxor::AndXorTree;
 use cpdb_consensus::clustering::CoClusteringWeights;
 use cpdb_model::TupleKey;
+use cpdb_parallel::resolve_threads;
 use cpdb_workloads::{random_clustering_tree, ClusteringConfig};
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// The scored-BID workload both rank-table and tournament measurements run
 /// on (`n` blocks × 2 alternatives, the `scaling_tree` family).
@@ -117,17 +119,179 @@ pub fn cocluster_max_diff(a: &CoClusteringWeights, b: &CoClusteringWeights) -> f
     max
 }
 
-/// Wall-clock of the fastest of `reps` runs of `f`, in milliseconds (the
-/// minimum is the standard cold-build estimator: every run does the full
-/// build, so the minimum is the least-noisy sample).
-pub fn time_best_of_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+/// One artifact's legacy and batch cold builds.
+pub struct Comparison {
+    /// Artifact label (the JSON key).
+    pub name: &'static str,
+    /// Legacy per-tuple build, best of [`REPS`] ms.
+    pub legacy_ms: f64,
+    /// Batch build on one thread, best of [`REPS`] ms.
+    pub batch_single_ms: f64,
+    /// Batch build on every machine thread, best of [`REPS`] ms.
+    pub batch_parallel_ms: f64,
+    /// Largest absolute difference between the legacy and batch results.
+    pub max_abs_diff: f64,
+}
+
+impl Comparison {
+    /// `legacy / batch(1)`.
+    pub fn speedup_single(&self) -> f64 {
+        self.legacy_ms / self.batch_single_ms
     }
-    best
+
+    /// `legacy / batch(T)`.
+    pub fn speedup_parallel(&self) -> f64 {
+        self.legacy_ms / self.batch_parallel_ms
+    }
+}
+
+/// The measured workload and its three comparisons.
+pub struct RankArtifactsResult {
+    /// Scored-BID blocks.
+    pub n: usize,
+    /// Rank-table depth.
+    pub k: usize,
+    /// Threads behind the parallel column.
+    pub threads: usize,
+    /// Rank-PMF table, Kendall tournament, co-clustering weights.
+    pub comparisons: Vec<Comparison>,
+}
+
+fn compare<T>(
+    name: &'static str,
+    legacy: impl Fn() -> T,
+    batch: impl Fn(usize) -> T,
+    threads: usize,
+    diff: impl Fn(&T, &T) -> f64,
+) -> Comparison {
+    let max_abs_diff = diff(&legacy(), &batch(1));
+    Comparison {
+        name,
+        legacy_ms: best_of(REPS, &legacy) * 1e3,
+        batch_single_ms: best_of(REPS, || batch(1)) * 1e3,
+        batch_parallel_ms: best_of(REPS, || batch(threads)) * 1e3,
+        max_abs_diff,
+    }
+}
+
+/// Times every artifact's legacy and batch cold builds on an `n`-block
+/// workload at depth `k`.
+pub fn measure(n: usize, k: usize) -> RankArtifactsResult {
+    let threads = resolve_threads(0);
+    let tree = rank_workload(n, SEED);
+    let keys = tree.keys();
+    let ctree = clustering_workload(n, SEED);
+    let comparisons = vec![
+        compare(
+            "rank_pmf_table",
+            || legacy_rank_table(&tree, k),
+            |t| batch_rank_table(&tree, k, t),
+            threads,
+            rank_table_max_diff,
+        ),
+        compare(
+            "kendall_tournament",
+            || legacy_tournament(&tree, &keys),
+            |t| batch_tournament(&tree, &keys, t),
+            threads,
+            |a, b| matrix_max_diff(a, b),
+        ),
+        compare(
+            "coclustering_weights",
+            || legacy_cocluster(&ctree),
+            |t| batch_cocluster(&ctree, t),
+            threads,
+            cocluster_max_diff,
+        ),
+    ];
+    RankArtifactsResult {
+        n,
+        k,
+        threads,
+        comparisons,
+    }
+}
+
+/// The gate: every batch build agrees with its legacy twin to 1e-9 and is
+/// no slower on one thread.
+pub fn gate(r: &RankArtifactsResult) -> Vec<String> {
+    let mut failures = Vec::new();
+    for c in &r.comparisons {
+        if c.max_abs_diff > 1e-9 {
+            failures.push(format!(
+                "{} batch diverges from the per-tuple path by {:.2e}",
+                c.name, c.max_abs_diff
+            ));
+        }
+        if c.speedup_single() < 1.0 {
+            failures.push(format!(
+                "{} batch cold build ({:.3} ms) is slower than legacy ({:.3} ms)",
+                c.name, c.batch_single_ms, c.legacy_ms
+            ));
+        }
+    }
+    failures
+}
+
+/// The `BENCH_rank_artifacts.json` document.
+pub fn json(r: &RankArtifactsResult) -> Json {
+    let mut builds = Json::object();
+    for c in &r.comparisons {
+        builds = builds.field(
+            c.name,
+            Json::object()
+                .field("legacy_ms", Json::fixed(c.legacy_ms, 3))
+                .field("batch_single_thread_ms", Json::fixed(c.batch_single_ms, 3))
+                .field("batch_parallel_ms", Json::fixed(c.batch_parallel_ms, 3))
+                .field("speedup_single_thread", Json::fixed(c.speedup_single(), 2))
+                .field("speedup_parallel", Json::fixed(c.speedup_parallel(), 2))
+                .field("max_abs_diff", Json::sci(c.max_abs_diff)),
+        );
+    }
+    Json::object()
+        .field("schema", "cpdb.rank_artifacts.v1")
+        .field(
+            "workload",
+            Json::object()
+                .field("n", r.n)
+                .field("k", r.k)
+                .field("seed", SEED)
+                .field("reps", REPS)
+                .field("parallel_threads", r.threads),
+        )
+        .field("cold_builds", builds)
+}
+
+fn table(r: &RankArtifactsResult) -> String {
+    let mut t = Table::new(
+        &format!(
+            "rank_artifacts cold builds — n = {}, k = {}, best of {REPS}, {} thread(s) for the parallel column",
+            r.n, r.k, r.threads
+        ),
+        &["artifact", "legacy ms", "batch(1) ms", "batch(T) ms", "x1", "xT", "max |Δ|"],
+    );
+    for c in &r.comparisons {
+        t.add_row(vec![
+            c.name.to_string(),
+            format!("{:.3}", c.legacy_ms),
+            format!("{:.3}", c.batch_single_ms),
+            format!("{:.3}", c.batch_parallel_ms),
+            format!("{:.1}x", c.speedup_single()),
+            format!("{:.1}x", c.speedup_parallel()),
+            format!("{:.2e}", c.max_abs_diff),
+        ]);
+    }
+    t.render()
+}
+
+/// Runs the scenario: `--n` blocks, `--k` rank depth.
+pub fn scenario(n: usize, k: usize) -> Outcome {
+    let r = measure(n, k);
+    Outcome {
+        table: table(&r),
+        json: json(&r),
+        failures: gate(&r),
+    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Replication workload behind the `replication` JSON emitter binary.
+//! The `replication` scenario, written to `BENCH_replication.json`.
 //!
 //! Three questions the read-replica layer must answer with numbers:
 //!
@@ -21,13 +21,19 @@
 //!   the mean and maximum quantify the staleness a read replica serves at
 //!   a given sync cadence.
 
+use crate::harness::{leaf_deltas, Json, Outcome, ScratchDir, REPS, SEED};
+use crate::Table;
 use cpdb_engine::{Query, TopKMetric, Variant};
-use cpdb_live::{LiveEngine, TreeDelta};
+use cpdb_live::LiveEngine;
 use cpdb_replica::{check_divergence, Follower, Primary, Transport};
 use cpdb_store::{std_vfs, StoreOptions};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// Deltas the primary applies in each staleness run.
+const TOTAL: usize = 48;
+
+/// Follower sync cadences (deltas between syncs) of the staleness runs.
+const CADENCES: [usize; 2] = [1, 8];
 
 /// Catch-up and ship-throughput numbers at one shipped-segment length.
 pub struct CatchUpResult {
@@ -54,15 +60,6 @@ pub struct StalenessResult {
     pub max_lag: u64,
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "cpdb_replication_{tag}_{}_{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
 /// The conformance probe asserted on every measured catch-up.
 fn probe() -> Vec<Query> {
     [1usize, 2]
@@ -75,33 +72,20 @@ fn probe() -> Vec<Query> {
         .collect()
 }
 
-/// A WAL-growing delta sequence: leaf-value updates cycling over the
-/// tree's leaves.
-fn leaf_deltas(tree: &cpdb_andxor::AndXorTree, count: usize) -> Vec<TreeDelta> {
-    let leaves = tree.leaf_nodes();
-    (0..count)
-        .map(|i| TreeDelta::LeafValue {
-            leaf: leaves[i % leaves.len()],
-            value: 40.0 + (i % 53) as f64,
-        })
-        .collect()
-}
-
 /// A primary over `n` blocks with its store and outbox on fresh on-disk
 /// temp directories, anchor already shipped. Returns the primary and the
 /// two directories (store, outbox).
-fn on_disk_primary(n: usize, seed: u64) -> (Primary, PathBuf, PathBuf) {
-    let store_dir = temp_dir("pstore");
-    let outbox = temp_dir("outbox");
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let _ = std::fs::remove_dir_all(&outbox);
+fn on_disk_primary(n: usize, seed: u64) -> (Primary, ScratchDir, ScratchDir) {
+    let store_dir = ScratchDir::new("replication_pstore");
+    let outbox = ScratchDir::new("replication_outbox");
     let live = LiveEngine::new_durable(
         crate::update_throughput::live_engine(crate::update_throughput::live_tree(n, seed), seed),
-        &store_dir,
+        store_dir.path(),
     )
     .expect("fresh store directory is creatable");
     live.set_snapshot_every(u64::MAX); // hold compaction off: pure WAL shipping
-    let primary = Primary::attach(live, std_vfs(), &outbox).expect("fresh outbox is claimable");
+    let primary =
+        Primary::attach(live, std_vfs(), outbox.path()).expect("fresh outbox is claimable");
     primary.ship().expect("anchor ship succeeds");
     (primary, store_dir, outbox)
 }
@@ -119,12 +103,12 @@ fn shipped_bytes(outbox: &std::path::Path) -> u64 {
 /// returns the elapsed milliseconds and asserts full divergence parity
 /// with `primary`.
 fn cold_catch_up(primary: &Primary, outbox: &std::path::Path, probe: &[Query]) -> f64 {
-    let inbox = temp_dir("inbox");
-    let fstore = temp_dir("fstore");
+    let inbox = ScratchDir::new("replication_inbox");
+    let fstore = ScratchDir::new("replication_fstore");
     let start = Instant::now();
-    let transport =
-        Transport::new(std_vfs(), outbox, std_vfs(), &inbox).expect("inbox directory is creatable");
-    let mut follower = Follower::open(transport, &fstore, StoreOptions::default())
+    let transport = Transport::new(std_vfs(), outbox, std_vfs(), inbox.path())
+        .expect("inbox directory is creatable");
+    let mut follower = Follower::open(transport, fstore.path(), StoreOptions::default())
         .expect("follower bootstraps from the shipped anchor");
     follower.sync().expect("catch-up sync succeeds");
     let elapsed = start.elapsed().as_secs_f64() * 1e3;
@@ -135,9 +119,6 @@ fn cold_catch_up(primary: &Primary, outbox: &std::path::Path, probe: &[Query]) -
     );
     check_divergence(&primary.snapshot(), &follower.snapshot(), probe)
         .expect("caught-up follower diverged from the primary");
-    drop(follower);
-    let _ = std::fs::remove_dir_all(&inbox);
-    let _ = std::fs::remove_dir_all(&fstore);
     elapsed
 }
 
@@ -147,23 +128,22 @@ pub fn measure_catch_up(n: usize, seed: u64, reps: usize, lens: &[usize]) -> Vec
     let probe = probe();
     lens.iter()
         .map(|&records| {
-            let (primary, store_dir, outbox) = on_disk_primary(n, seed);
+            let (primary, _store, outbox) = on_disk_primary(n, seed);
+            let outbox = outbox.path();
             let deltas = leaf_deltas(primary.snapshot().tree(), records);
             for delta in &deltas {
                 primary.apply(delta).expect("leaf updates are valid");
             }
-            let before = shipped_bytes(&outbox);
+            let before = shipped_bytes(outbox);
             let start = Instant::now();
             primary.ship().expect("segment ship succeeds");
             let ship_ms = start.elapsed().as_secs_f64() * 1e3;
-            let bytes = shipped_bytes(&outbox);
+            let bytes = shipped_bytes(outbox);
             let segment_bytes = bytes.saturating_sub(before);
             let mut catch_up_ms = f64::INFINITY;
             for _ in 0..reps.max(1) {
-                catch_up_ms = catch_up_ms.min(cold_catch_up(&primary, &outbox, &probe));
+                catch_up_ms = catch_up_ms.min(cold_catch_up(&primary, outbox, &probe));
             }
-            let _ = std::fs::remove_dir_all(&store_dir);
-            let _ = std::fs::remove_dir_all(&outbox);
             CatchUpResult {
                 shipped_records: records,
                 shipped_bytes: bytes,
@@ -189,12 +169,12 @@ pub fn measure_staleness(
     cadences
         .iter()
         .map(|&sync_every| {
-            let (primary, store_dir, outbox) = on_disk_primary(n, seed);
-            let inbox = temp_dir("inbox");
-            let fstore = temp_dir("fstore");
-            let transport = Transport::new(std_vfs(), &outbox, std_vfs(), &inbox)
+            let (primary, _store, outbox) = on_disk_primary(n, seed);
+            let inbox = ScratchDir::new("replication_inbox");
+            let fstore = ScratchDir::new("replication_fstore");
+            let transport = Transport::new(std_vfs(), outbox.path(), std_vfs(), inbox.path())
                 .expect("inbox directory is creatable");
-            let mut follower = Follower::open(transport, &fstore, StoreOptions::default())
+            let mut follower = Follower::open(transport, fstore.path(), StoreOptions::default())
                 .expect("follower bootstraps");
             follower.sync().expect("initial sync succeeds");
 
@@ -212,10 +192,6 @@ pub fn measure_staleness(
             check_divergence(&primary.snapshot(), &follower.snapshot(), &probe)
                 .expect("steady-state follower diverged from the primary");
 
-            let _ = std::fs::remove_dir_all(&store_dir);
-            let _ = std::fs::remove_dir_all(&outbox);
-            let _ = std::fs::remove_dir_all(&inbox);
-            let _ = std::fs::remove_dir_all(&fstore);
             StalenessResult {
                 sync_every,
                 mean_lag: lags.iter().sum::<u64>() as f64 / lags.len().max(1) as f64,
@@ -223,4 +199,90 @@ pub fn measure_staleness(
             }
         })
         .collect()
+}
+
+/// The gate: at the per-delta sync cadence the follower never lags the
+/// primary by more than the one epoch it has not fetched yet. (Follower
+/// bit-identity is asserted inside the workload.)
+pub fn gate(staleness: &[StalenessResult]) -> Vec<String> {
+    staleness
+        .iter()
+        .filter(|s| s.sync_every == 1 && s.max_lag > 1)
+        .map(|s| {
+            format!(
+                "per-delta sync cadence observed a lag of {} epochs",
+                s.max_lag
+            )
+        })
+        .collect()
+}
+
+/// The `BENCH_replication.json` document.
+pub fn json(n: usize, catch_up: &[CatchUpResult], staleness: &[StalenessResult]) -> Json {
+    let mut lens = Json::object();
+    for r in catch_up {
+        lens = lens.field(
+            r.shipped_records,
+            Json::object()
+                .field("shipped_bytes", r.shipped_bytes)
+                .field("ship_ms", Json::fixed(r.ship_ms, 3))
+                .field("ship_mb_per_s", Json::fixed(r.ship_mb_per_s, 1))
+                .field("catch_up_ms", Json::fixed(r.catch_up_ms, 3)),
+        );
+    }
+    let mut cadences = Json::object();
+    for s in staleness {
+        cadences = cadences.field(
+            s.sync_every,
+            Json::object()
+                .field("mean_lag", Json::fixed(s.mean_lag, 3))
+                .field("max_lag", s.max_lag),
+        );
+    }
+    Json::object()
+        .field("bench", "replication")
+        .field("n", n)
+        .field("seed", SEED)
+        .field("reps", REPS)
+        .field("total_epochs", TOTAL)
+        .field("shipped_wal_lengths", lens)
+        .field("staleness_by_sync_cadence", cadences)
+}
+
+/// Runs the scenario on an `--n`-block fleet at each shipped-WAL length in
+/// `--lens`.
+pub fn scenario(n: usize, lens: &[usize]) -> Outcome {
+    let catch_up = measure_catch_up(n, SEED, REPS, lens);
+    let staleness = measure_staleness(n, SEED, TOTAL, &CADENCES);
+    let mut t = Table::new(
+        &format!("replication — n = {n}, best of {REPS}"),
+        &[
+            "shipped records",
+            "shipped bytes",
+            "ship ms",
+            "ship MB/s",
+            "catch-up ms",
+        ],
+    );
+    for r in &catch_up {
+        t.add_row(vec![
+            r.shipped_records.to_string(),
+            r.shipped_bytes.to_string(),
+            format!("{:.3}", r.ship_ms),
+            format!("{:.1}", r.ship_mb_per_s),
+            format!("{:.3}", r.catch_up_ms),
+        ]);
+    }
+    let mut table = t.render();
+    for s in &staleness {
+        table += &format!(
+            "staleness — sync every {:>2} deltas over {TOTAL} epochs: mean lag {:.2}, max lag {}\n",
+            s.sync_every, s.mean_lag, s.max_lag
+        );
+    }
+    Outcome {
+        table,
+        json: json(n, &catch_up, &staleness),
+        failures: gate(&staleness),
+    }
 }
