@@ -9,9 +9,10 @@
 //! the batch executor's dedup amortises. Two executors answer the same batch:
 //!
 //! * **serial** — [`ConsensusEngine::run_batch_serial`], the plain `run`
-//!   loop (one query at a time, no prefetch, no dedup);
-//! * **parallel** — [`ConsensusEngine::run_batch`], the two-phase executor
-//!   (concurrent artifact prefetch, deduplicated fan-out dispatch).
+//!   loop (one query at a time, no dedup);
+//! * **parallel** — [`ConsensusEngine::run_batch`], deduplicated fan-out
+//!   dispatch (each artifact is built once by the first query that needs
+//!   it).
 //!
 //! Both are measured **cold** (fresh engine, artifact builds included) and
 //! **warm** (engine already holds every artifact — the paper's serving
@@ -148,11 +149,11 @@ pub struct QpsScenario {
     pub batch_len: usize,
     /// Warm engine, plain `run` loop.
     pub warm_serial_qps: f64,
-    /// Warm engine, two-phase `run_batch`.
+    /// Warm engine, `run_batch`.
     pub warm_parallel_qps: f64,
     /// Fresh engine per run, plain `run` loop.
     pub cold_serial_qps: f64,
-    /// Fresh engine per run, two-phase `run_batch`.
+    /// Fresh engine per run, `run_batch`.
     pub cold_parallel_qps: f64,
 }
 
@@ -274,8 +275,8 @@ pub fn json(r: &QueryThroughputResult) -> Json {
         .field(
             "note",
             "mixed serving batches; dup = copies of each distinct query per batch \
-             (production traffic repeats popular queries). Parallel = two-phase run_batch \
-             (concurrent artifact prefetch + deduplicated fan-out); serial = plain run loop. \
+             (production traffic repeats popular queries). Parallel = run_batch \
+             (deduplicated fan-out, each artifact built once); serial = plain run loop. \
              Answers bit-identical between executors on every measurement. On a 1-thread \
              machine the parallel win is dedup amortisation; extra cores multiply it.",
         )

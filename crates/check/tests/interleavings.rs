@@ -300,7 +300,7 @@ fn compaction_thread_joins_cleanly_on_drop() {
             let reader_epoch = reader.join().expect("reader");
             assert!(reader_epoch <= 1, "reader saw unpublished epoch");
             assert!(
-                live.last_compaction_error().is_none(),
+                live.health().compactor.is_healthy(),
                 "background compaction failed"
             );
             let live = Arc::into_inner(live).expect("sole owner at shutdown");

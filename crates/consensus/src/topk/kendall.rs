@@ -165,11 +165,15 @@ pub fn mean_topk_kendall_pivot_from_prefs<R: Rng + ?Sized>(
     trials: usize,
     rng: &mut R,
 ) -> TopKList {
-    if ctx.k() == 0 || prefs.items().is_empty() {
+    if ctx.k() == 0 {
         return TopKList::empty();
     }
-    let ranking = pivot_best_of(prefs, trials, rng).expect("tournament is non-empty");
-    ranking.top_k(ctx.k())
+    // An empty tournament, the one way `pivot_best_of` fails on distinct
+    // items, has no Top-k prefix.
+    match pivot_best_of(prefs, trials, rng) {
+        Ok(ranking) => ranking.top_k(ctx.k()),
+        Err(_) => TopKList::empty(),
+    }
 }
 
 /// Kendall consensus answer via the footrule-optimal answer — a

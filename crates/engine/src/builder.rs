@@ -138,12 +138,11 @@ impl ConsensusEngineBuilder {
         self
     }
 
-    /// Thread count used both by the batch artifact *builds* (rank-PMF
-    /// tables, Kendall tournament, co-clustering weights — each a
-    /// `cpdb_parallel` fork-join over targets/pairs) and by
-    /// [`crate::ConsensusEngine::run_batch`]'s query *dispatch* (phase 1
-    /// builds the batch's distinct artifacts concurrently, phase 2 fans the
-    /// deduplicated queries out across worker threads). `0` (the default)
+    /// Thread count used both by the artifact *builds* (rank-PMF tables,
+    /// Kendall tournament, co-clustering weights — each a `cpdb_parallel`
+    /// fork-join over targets/pairs) and by
+    /// [`crate::ConsensusEngine::run_batch`]'s query *dispatch* (the
+    /// deduplicated queries fan out across worker threads). `0` (the default)
     /// means "auto": the `CPDB_THREADS` environment variable if set,
     /// otherwise the machine's available parallelism. Answers never depend on
     /// this knob — the batch evaluators and per-query RNG streams are

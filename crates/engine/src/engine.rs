@@ -22,7 +22,7 @@ use cpdb_sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use cpdb_sync::{OnceLock, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
@@ -188,8 +188,8 @@ where
 /// Initialises a slot (exactly once, even under races) and keeps the
 /// build/hit counters truthful: the build counter is bumped by the one thread
 /// whose closure ran; every other access bumps `hits` — unless `hits` is
-/// `None`, the prefetch mode used by the batch planner, where an
-/// already-built artifact is simply left alone (a prefetch is not a query).
+/// `None`, for internal reads that are not queries (an artifact build reading
+/// another artifact).
 fn slot_get_or_build<'a, T>(
     slot: &'a OnceLock<T>,
     builds: &AtomicUsize,
@@ -218,19 +218,10 @@ struct PoolTournament {
     coverage: f64,
 }
 
-/// Leaf-count ceiling for exhaustive U-Top-k world enumeration. Shared by the
-/// run path (which rejects over-budget queries) and the batch planner (which
-/// must skip exactly the queries the run path rejects, so the build counters
-/// match a serial run).
+/// Leaf-count ceiling for exhaustive U-Top-k world enumeration: an exact
+/// U-Top-k query over a tree with more leaves is rejected before it touches
+/// any artifact.
 const UTOPK_EXACT_LEAF_BUDGET: usize = 20;
-
-/// Whether a Top-k `(metric, variant)` combination is rejected before any
-/// artifact is touched — only the symmetric-difference metric has a
-/// polynomial median algorithm (Theorem 4). Shared by the run path and the
-/// batch planner for the same reason as [`UTOPK_EXACT_LEAF_BUDGET`].
-fn topk_median_unsupported(metric: TopKMetric, variant: Variant) -> bool {
-    variant == Variant::Median && metric != TopKMetric::SymmetricDifference
-}
 
 /// Which model class the engine's tree belongs to — decides whether the
 /// Jaccard prefix scans carry their proven guarantees (Lemma 2 is stated for
@@ -474,8 +465,8 @@ impl ConsensusEngine {
     }
 
     /// The memoised sorted tuple-key table shared by the ranked query paths
-    /// (`count_hit = false` is the batch-planner / delta-maintenance prefetch
-    /// mode).
+    /// (`count_hit = false` for a read by another artifact's build, which is
+    /// not a query).
     fn key_index_arc(&self, count_hit: bool) -> Arc<Vec<cpdb_model::TupleKey>> {
         slot_get_or_build(
             &self.key_index,
@@ -544,20 +535,17 @@ impl ConsensusEngine {
         }
     }
 
-    /// Answers a batch of queries with a two-phase parallel executor, sharing
-    /// every cached artifact across them.
+    /// Answers a batch of queries in parallel, sharing every cached artifact
+    /// across them.
     ///
-    /// **Phase 1 (plan + build):** the distinct artifacts the batch needs —
-    /// the [`TopKContext`] per distinct `k`, the Kendall tournament(s), the
-    /// co-clustering weights, the marginal tables — are identified up front
-    /// and built concurrently on the engine's thread pool (the
+    /// Duplicate queries are answered once and their [`Answer`] cloned for
+    /// the other occurrences ([`CacheStats::batch_dedup_hits`] counts them);
+    /// the distinct queries fan out across the engine's thread pool (the
     /// [`threads`](crate::ConsensusEngineBuilder::threads) knob), each via
-    /// the single-sweep batch evaluators.
-    ///
-    /// **Phase 2 (dispatch):** query execution fans out across the same
-    /// thread pool. Duplicate queries are answered once and their [`Answer`]
-    /// cloned for the other occurrences
-    /// ([`CacheStats::batch_dedup_hits`] counts them).
+    /// [`run`](Self::run). Queries needing the same artifact build it once
+    /// through its `OnceLock` slot; the others read it as a cache hit, so
+    /// apart from `batch_dedup_hits` the [`CacheStats`] end where a serial
+    /// loop over the distinct queries, in some order, would put them.
     ///
     /// Every query's result is **bit-identical** to what the serial loop
     /// [`run_batch_serial`](Self::run_batch_serial) returns, at any thread
@@ -581,7 +569,6 @@ impl ConsensusEngine {
                 }
             }
         }
-        self.prime_artifacts(&uniques);
         let answers = parallel_map_indexed(self.threads, uniques.len(), |i| self.run(uniques[i]));
         canonical
             .into_iter()
@@ -590,8 +577,8 @@ impl ConsensusEngine {
     }
 
     /// The serial reference executor: answers the batch with a plain
-    /// `for` loop over [`run`](Self::run) on the calling thread — no artifact
-    /// prefetch, no dispatch parallelism, no dedup.
+    /// `for` loop over [`run`](Self::run) on the calling thread — no dispatch
+    /// parallelism, no dedup.
     /// [`run_batch`](Self::run_batch) is required
     /// (and tested) to return bit-identical results; this loop exists as the
     /// baseline for that contract and for throughput comparisons.
@@ -609,7 +596,7 @@ impl ConsensusEngine {
     ) -> Result<Answer, EngineError> {
         match metric {
             SetMetric::SymmetricDifference => {
-                let marginals = self.marginals_ref(true);
+                let marginals = self.marginals_ref();
                 // Theorem 2 (mean) and Corollary 1 (median coincides with the
                 // mean for and/xor trees): one algorithm serves both variants.
                 let world = set_distance::mean_world_from_marginals(marginals);
@@ -637,7 +624,7 @@ impl ConsensusEngine {
                 ))
             }
             SetMetric::Jaccard => {
-                let candidates = self.jaccard_candidates_ref(true);
+                let candidates = self.jaccard_candidates_ref();
                 let consensus = jaccard::best_prefix_world(&self.tree, candidates);
                 // Lemma 2 proves the prefix structure for tuple-independent
                 // mean worlds; the §4.2 scan over block-best alternatives is
@@ -665,7 +652,7 @@ impl ConsensusEngine {
         variant: Variant,
     ) -> Result<Answer, EngineError> {
         self.check_k(k)?;
-        if topk_median_unsupported(metric, variant) {
+        if variant == Variant::Median && metric != TopKMetric::SymmetricDifference {
             return Err(EngineError::Unsupported {
                 query: format!("{query:?}"),
                 reason: "only the symmetric-difference metric has a polynomial median \
@@ -735,8 +722,7 @@ impl ConsensusEngine {
                         // is fixed), so both are memoised: the matrix carved
                         // out of the full tournament when that is cached,
                         // pool-sized generating-function work otherwise.
-                        let tournament =
-                            self.pool_tournament(k, ctx, pool, pool_size, n, true, self.threads);
+                        let tournament = self.pool_tournament(k, ctx, pool, pool_size, n);
                         let coverage = tournament.coverage;
                         let answer = kendall::mean_topk_kendall_pivot_from_prefs(
                             ctx,
@@ -896,13 +882,12 @@ impl ConsensusEngine {
         .clone()
     }
 
-    /// The memoised marginal-probability table. `count_hit` distinguishes a
-    /// query access (counts a cache hit) from a batch-planner prefetch.
-    fn marginals_ref(&self, count_hit: bool) -> &HashMap<Alternative, f64> {
+    /// The memoised marginal-probability table.
+    fn marginals_ref(&self) -> &HashMap<Alternative, f64> {
         slot_get_or_build(
             &self.marginals,
             &self.stats.marginal_builds,
-            count_hit.then_some(&self.stats.marginal_hits),
+            Some(&self.stats.marginal_hits),
             || {
                 let _build = self
                     .obs
@@ -915,14 +900,14 @@ impl ConsensusEngine {
     /// The memoised Jaccard candidate list — a cheap derivation of the
     /// marginal table, so it shares that table with the symmetric-difference
     /// set queries instead of walking the tree a second time.
-    fn jaccard_candidates_ref(&self, count_hit: bool) -> &[(Alternative, f64)] {
+    fn jaccard_candidates_ref(&self) -> &[(Alternative, f64)] {
         let mut built = false;
         let candidates = self.jaccard_candidates.get_or_init(|| {
             built = true;
-            let marginals = self.marginals_ref(count_hit);
+            let marginals = self.marginals_ref();
             jaccard::prefix_candidates_from_marginals(marginals)
         });
-        if !built && count_hit {
+        if !built {
             self.stats.marginal_hits.fetch_add(1, Relaxed);
         }
         candidates
@@ -933,7 +918,6 @@ impl ConsensusEngine {
     /// the full n² tournament is only paid for when the pool covers every key
     /// (or already exists, in which case the pool matrix is carved out of
     /// it); a clipped pool gets its own cheap pool-sized matrix.
-    #[allow(clippy::too_many_arguments)]
     fn pool_tournament(
         &self,
         k: usize,
@@ -941,16 +925,10 @@ impl ConsensusEngine {
         pool: usize,
         pool_size: usize,
         n: usize,
-        count_hit: bool,
-        build_threads: usize,
     ) -> Arc<PoolTournament> {
         let cell = shard(&self.pool_prefs, k);
         if cell.get().is_none() && (pool == 0 || pool.max(k) >= n || self.prefs.get().is_some()) {
-            if count_hit {
-                let _ = self.preference_matrix();
-            } else {
-                self.prime_prefs(build_threads);
-            }
+            let _ = self.preference_matrix();
         }
         let mut built = false;
         let tournament = cell
@@ -967,171 +945,17 @@ impl ConsensusEngine {
                         kendall::preference_matrix_with_parallelism(
                             &self.tree,
                             &pool_keys,
-                            build_threads,
+                            self.threads,
                         )
                     }
                 };
                 Arc::new(PoolTournament { prefs, coverage })
             })
             .clone();
-        if !built && count_hit {
+        if !built {
             self.stats.preference_hits.fetch_add(1, Relaxed);
         }
         tournament
-    }
-
-    // ---- batch planning (run_batch phase 1) --------------------------------
-
-    /// Prefetch variants: build the artifact if missing (counting the build),
-    /// but do not count cache hits — a prefetch is planning, not a query.
-    /// `build_threads` is the planner's per-build share of the thread budget
-    /// (the run path passes the full `self.threads`), so a wave of concurrent
-    /// prefetches does not oversubscribe the machine with nested fork-joins.
-    fn prime_context(&self, k: usize, build_threads: usize) -> Arc<TopKContext> {
-        let cell = shard(&self.contexts, k);
-        slot_get_or_build(&cell, &self.stats.rank_context_builds, None, || {
-            let _build = self
-                .obs
-                .artifact_span(Artifact::RankContext, || format!("rank_context[k={k}]"));
-            Arc::new(TopKContext::new_with_parallelism(
-                &self.tree,
-                k,
-                build_threads,
-            ))
-        })
-        .clone()
-    }
-
-    fn prime_prefs(&self, build_threads: usize) {
-        slot_get_or_build(&self.prefs, &self.stats.preference_builds, None, || {
-            let _build = self.obs.artifact_span(Artifact::PreferenceMatrix, || {
-                "preference_matrix".to_string()
-            });
-            kendall::preference_matrix_with_parallelism(
-                &self.tree,
-                &self.key_index_arc(false),
-                build_threads,
-            )
-        });
-    }
-
-    fn prime_cocluster(&self, build_threads: usize) {
-        slot_get_or_build(
-            &self.cocluster,
-            &self.stats.coclustering_builds,
-            None,
-            || {
-                let _build = self
-                    .obs
-                    .artifact_span(Artifact::CoClustering, || "coclustering".to_string());
-                CoClusteringWeights::from_tree_with_parallelism(&self.tree, build_threads)
-            },
-        );
-    }
-
-    fn prime_kendall_pool(&self, k: usize, build_threads: usize) {
-        let KendallStrategy::Pivot { pool, .. } = self.kendall else {
-            return;
-        };
-        let ctx = self.prime_context(k, build_threads);
-        let n = self.key_index_arc(false).len();
-        let pool_size = if pool == 0 { n } else { pool };
-        let _ = self.pool_tournament(k, &ctx, pool, pool_size, n, false, build_threads);
-    }
-
-    /// Phase 1 of [`Self::run_batch`]: walk the (deduplicated) batch, collect
-    /// the distinct artifacts it will need, and build them concurrently on
-    /// the engine's thread pool. Queries the serial path would reject before
-    /// touching any artifact (bad `k`, unsupported variants, over-budget
-    /// exact U-Top-k) are skipped, so the build counters end up exactly where
-    /// a serial run of the same batch would put them.
-    fn prime_artifacts(&self, queries: &[&Query]) {
-        let mut context_ks = BTreeSet::new();
-        let mut kendall_ks = BTreeSet::new();
-        let mut need_prefs = false;
-        let mut need_cocluster = false;
-        let mut need_marginals = false;
-        let mut need_jaccard = false;
-        let n = self.key_index_arc(false).len();
-        for query in queries {
-            match query {
-                Query::SetConsensus { metric, .. } => match metric {
-                    SetMetric::SymmetricDifference => need_marginals = true,
-                    SetMetric::Jaccard => need_jaccard = true,
-                },
-                Query::TopK { k, metric, variant } => {
-                    if self.check_k(*k).is_err() || topk_median_unsupported(*metric, *variant) {
-                        continue;
-                    }
-                    context_ks.insert(*k);
-                    if *metric == TopKMetric::Kendall {
-                        if let KendallStrategy::Pivot { pool, .. } = self.kendall {
-                            kendall_ks.insert(*k);
-                            if pool == 0 || pool.max(*k) >= n {
-                                need_prefs = true;
-                            }
-                        }
-                    }
-                }
-                Query::Aggregate { .. } => {}
-                Query::Clustering { .. } => need_cocluster = true,
-                Query::Baseline { kind } => {
-                    if self.check_k(kind.k()).is_err() {
-                        continue;
-                    }
-                    if matches!(kind, BaselineKind::UTopKExact { .. })
-                        && self.tree.leaf_count() > UTOPK_EXACT_LEAF_BUDGET
-                    {
-                        continue;
-                    }
-                    context_ks.insert(kind.k());
-                }
-            }
-        }
-        // Wave 1: independent artifacts, built concurrently. (The Jaccard
-        // candidate list derives from the marginal table; both primes may run
-        // at once — the OnceLock makes the shared table build exactly once.)
-        // The thread budget is split between the wave's fan-out and each
-        // build's internal fork-join, so a cold batch never oversubscribes
-        // the machine with outer × inner worker threads.
-        let total_threads = cpdb_parallel::resolve_threads(self.threads);
-        let split_budget = |wave_len: usize| {
-            let outer = total_threads.min(wave_len.max(1));
-            (outer, (total_threads / outer).max(1))
-        };
-        let mut builds: Vec<Box<dyn Fn(usize) + Sync>> = Vec::new();
-        for &k in &context_ks {
-            builds.push(Box::new(move |build_threads| {
-                self.prime_context(k, build_threads);
-            }));
-        }
-        if need_prefs {
-            builds.push(Box::new(|build_threads| self.prime_prefs(build_threads)));
-        }
-        if need_cocluster {
-            builds.push(Box::new(|build_threads| {
-                self.prime_cocluster(build_threads)
-            }));
-        }
-        if need_marginals {
-            builds.push(Box::new(|_| {
-                self.marginals_ref(false);
-            }));
-        }
-        if need_jaccard {
-            builds.push(Box::new(|_| {
-                self.jaccard_candidates_ref(false);
-            }));
-        }
-        let (outer, inner) = split_budget(builds.len());
-        parallel_map_indexed(outer, builds.len(), |i| builds[i](inner));
-        // Wave 2: the per-k pool tournaments, which read the contexts (and
-        // possibly the full tournament) produced by wave 1.
-        let kendall_ks: Vec<usize> = kendall_ks.into_iter().collect();
-        let (outer, inner) = split_budget(kendall_ks.len());
-        parallel_map_indexed(outer, kendall_ks.len(), |i| {
-            self.prime_kendall_pool(kendall_ks[i], inner)
-        });
     }
 
     // ---- delta-aware artifact maintenance (live-update epoch builds) -------
@@ -1680,10 +1504,10 @@ mod tests {
         let results = engine.run_batch(&queries);
         assert!(results.iter().all(|r| r.is_ok()));
         let stats = engine.cache_stats();
+        // Whichever query reaches the context first builds it; the other
+        // three read it as cache hits, exactly as in a serial loop.
         assert_eq!(stats.rank_context_builds, 1, "{stats:?}");
-        // The batch planner prefetches the context, so all four queries are
-        // cache hits (a prefetch is planning, not a query).
-        assert_eq!(stats.rank_context_hits, 4, "{stats:?}");
+        assert_eq!(stats.rank_context_hits, 3, "{stats:?}");
         assert_eq!(stats.batch_dedup_hits, 0, "{stats:?}");
     }
 
@@ -1749,7 +1573,8 @@ mod tests {
         queries.push(Query::Baseline {
             kind: BaselineKind::GlobalTopK { k: 2 },
         });
-        let serial = small_engine().run_batch_serial(&queries);
+        let serial_engine = small_engine();
+        let serial = serial_engine.run_batch_serial(&queries);
         for threads in [1usize, 2, 4, 8] {
             let tree = independent_tree(&[
                 (1, 90.0, 0.3),
@@ -1764,6 +1589,12 @@ mod tests {
                 .unwrap();
             let parallel = engine.run_batch(&queries);
             assert_eq!(serial, parallel, "threads = {threads}");
+            // No query repeats, so every counter matches the serial loop's.
+            assert_eq!(
+                engine.cache_stats(),
+                serial_engine.cache_stats(),
+                "threads = {threads}"
+            );
         }
     }
 
@@ -1787,9 +1618,9 @@ mod tests {
         assert_eq!(answers[1], answers[4]);
         let stats = engine.cache_stats();
         assert_eq!(stats.batch_dedup_hits, 3, "{stats:?}");
-        // Only the two distinct queries executed: one build + two hits.
+        // Only the two distinct queries executed: one build + one hit.
         assert_eq!(stats.rank_context_builds, 1, "{stats:?}");
-        assert_eq!(stats.rank_context_hits, 2, "{stats:?}");
+        assert_eq!(stats.rank_context_hits, 1, "{stats:?}");
         // The dedup answers are bit-identical to the serial loop's.
         let serial = small_engine().run_batch_serial(&batch);
         assert_eq!(answers, serial);

@@ -873,18 +873,6 @@ impl LiveEngine {
             .take()
     }
 
-    /// Whether a background compaction has failed since the last
-    /// [`take_compaction_error`](Self::take_compaction_error) (message
-    /// form, without consuming the error).
-    pub fn last_compaction_error(&self) -> Option<String> {
-        let d = self.durability.as_ref()?;
-        d.last_compaction_error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .map(|e| e.to_string())
-    }
-
     /// Waits for any in-flight background compaction to finish (durable
     /// engines; no-op otherwise). After this returns, a failure of that
     /// compaction is visible via
@@ -943,8 +931,15 @@ impl LiveEngine {
             },
             _ => ComponentHealth::Healthy,
         };
-        let compactor = match self.last_compaction_error() {
-            Some(reason) => ComponentHealth::Degraded { reason },
+        let compactor = match d
+            .last_compaction_error
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+        {
+            Some(e) => ComponentHealth::Degraded {
+                reason: e.to_string(),
+            },
             None => ComponentHealth::Healthy,
         };
         Health {
@@ -1400,7 +1395,7 @@ mod tests {
             .unwrap();
         let live = LiveEngine::new_durable(engine, &dir).unwrap();
         live.set_snapshot_every(1);
-        assert!(live.last_compaction_error().is_none());
+        assert!(live.health().compactor.is_healthy());
 
         // Pull the directory out from under the background compactor: the
         // WAL's already-open descriptor keeps appends working, but the
@@ -1412,9 +1407,10 @@ mod tests {
         live.await_compaction();
 
         // Regression: this failure used to be dropped on the floor. It must
-        // be visible (peek), collectable (take), and cleared by the take.
+        // be visible in `health()`, collectable (take), and cleared by the
+        // take.
         assert!(
-            live.last_compaction_error().is_some(),
+            !live.health().compactor.is_healthy(),
             "background compaction failure was swallowed"
         );
         let err = live.take_compaction_error();

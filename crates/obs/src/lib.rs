@@ -20,9 +20,8 @@
 //! Components pre-register their handles once at attach time
 //! ([`Obs::counter`] / [`Obs::gauge`] / [`Obs::histogram`]) and then record
 //! without any name lookup; [`Obs::snapshot`] produces a cloneable
-//! [`MetricsSnapshot`] with a stable, hand-rolled JSON emitter (same idiom
-//! as the `BENCH_*.json` emitters). [`Span`]s time a region and optionally
-//! leave start/finish events in the recorder.
+//! [`MetricsSnapshot`] with a stable, hand-rolled JSON emitter. [`Span`]s
+//! time a region and optionally leave start/finish events in the recorder.
 //!
 //! The crate is a leaf: it depends only on `cpdb_sync`, so every layer —
 //! engine, live, store, replica — can carry an [`Obs`] without dependency

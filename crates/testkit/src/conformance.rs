@@ -736,7 +736,7 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
 }
 
 /// Concurrent ↔ serial engine equivalence: a mixed batch covering every
-/// query family, executed through the parallel two-phase
+/// query family, executed through the parallel
 /// [`cpdb_engine::ConsensusEngine::run_batch`] at several thread counts and
 /// through a shared-engine multi-thread `run` loop, must be **bit-identical**
 /// to the serial reference loop — including the errors — and the concurrent
