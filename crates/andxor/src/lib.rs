@@ -44,7 +44,7 @@ pub mod serial;
 pub mod tree;
 pub mod worlds;
 
-pub use genfunc_eval::VarAssignment;
+pub use genfunc_eval::{DualGenfunc, VarAssignment};
 pub use mutate::{DeltaImpact, TreeDelta};
 pub use serial::{RawDelta, RawNode, RawTree};
 pub use tree::{AndXorTree, AndXorTreeBuilder, NodeId, NodeKind};

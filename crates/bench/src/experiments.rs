@@ -267,7 +267,7 @@ pub fn jaccard_validation_table() -> Table {
 /// E3 scaling table only.
 pub fn jaccard_scaling_table() -> Table {
     let mut scaling = Table::new(
-        "E3 scaling: Jaccard mean world (n prefixes × O(n²) genfunc each)",
+        "E3 scaling: Jaccard mean world (n prefixes × O(n²) dual-number genfunc each)",
         &["n tuples", "time (ms)"],
     );
     for n in [50usize, 100, 200] {

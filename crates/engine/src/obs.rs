@@ -6,15 +6,22 @@
 use crate::query::Query;
 use cpdb_obs::{EventKind, Histogram, Obs, Span};
 
+/// Histogram-name labels of [`crate::SetMetric`], [`crate::TopKMetric`] and
+/// [`crate::Variant`], in declaration order (the enums' `as usize` index).
+const SET_METRICS: [&str; 2] = ["sym_diff", "jaccard"];
+const TOPK_METRICS: [&str; 4] = ["sym_diff", "intersection", "footrule", "kendall"];
+const VARIANTS: [&str; 2] = ["mean", "median"];
+
 /// Pre-registered engine metrics: one latency histogram per [`Query`] kind
-/// plus one build-latency histogram per shared artifact. Cloning shares the
-/// underlying handles, so a cloned or delta-built engine keeps recording
-/// into the same sink.
+/// — per (metric, variant) for set and Top-k queries, whose costs range
+/// from a µs lookup to a whole-tree scan — plus one build-latency histogram
+/// per shared artifact. Cloning shares the underlying handles, so a cloned
+/// or delta-built engine keeps recording into the same sink.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EngineObs {
     obs: Obs,
-    query_set: Histogram,
-    query_topk: Histogram,
+    query_set: [[Histogram; 2]; 2],
+    query_topk: [[Histogram; 2]; 4],
     query_aggregate: Histogram,
     query_clustering: Histogram,
     query_baseline: Histogram,
@@ -29,8 +36,8 @@ pub(crate) struct EngineObs {
 impl EngineObs {
     pub(crate) fn new(obs: Obs) -> Self {
         EngineObs {
-            query_set: obs.histogram("engine.query.set_consensus"),
-            query_topk: obs.histogram("engine.query.topk"),
+            query_set: per_variant(&obs, "set_consensus", SET_METRICS),
+            query_topk: per_variant(&obs, "topk", TOPK_METRICS),
             query_aggregate: obs.histogram("engine.query.aggregate"),
             query_clustering: obs.histogram("engine.query.clustering"),
             query_baseline: obs.histogram("engine.query.baseline"),
@@ -53,8 +60,12 @@ impl EngineObs {
     /// query-start/finish events in the flight recorder.
     pub(crate) fn query_span(&self, query: &Query) -> Span {
         let histogram = match query {
-            Query::SetConsensus { .. } => &self.query_set,
-            Query::TopK { .. } => &self.query_topk,
+            Query::SetConsensus { metric, variant } => {
+                &self.query_set[*metric as usize][*variant as usize]
+            }
+            Query::TopK {
+                metric, variant, ..
+            } => &self.query_topk[*metric as usize][*variant as usize],
             Query::Aggregate { .. } => &self.query_aggregate,
             Query::Clustering { .. } => &self.query_clustering,
             Query::Baseline { .. } => &self.query_baseline,
@@ -81,6 +92,14 @@ impl EngineObs {
         self.obs
             .span_finishing(histogram, EventKind::ArtifactBuild, label)
     }
+}
+
+/// One `engine.query.<kind>.<metric>.<variant>` histogram per metric and
+/// variant.
+fn per_variant<const M: usize>(obs: &Obs, kind: &str, metrics: [&str; M]) -> [[Histogram; 2]; M] {
+    metrics.map(|metric| {
+        VARIANTS.map(|variant| obs.histogram(&format!("engine.query.{kind}.{metric}.{variant}")))
+    })
 }
 
 /// Which shared artifact a build span times (maps to the per-artifact

@@ -61,6 +61,17 @@ impl TopKList {
         Ok(TopKList { items })
     }
 
+    /// Builds a Top-k list from items in rank order (best first), keeping
+    /// each item at its first (best) position. On distinct items this is
+    /// [`TopKList::new`]; it never fails, for callers whose items are
+    /// distinct by construction.
+    pub fn from_ranked<I: IntoIterator<Item = u64>>(items: I) -> Self {
+        let mut seen = std::collections::HashSet::new();
+        TopKList {
+            items: items.into_iter().filter(|&it| seen.insert(it)).collect(),
+        }
+    }
+
     /// The empty list (k = 0).
     pub fn empty() -> Self {
         TopKList { items: Vec::new() }
@@ -285,6 +296,15 @@ mod tests {
             TopKList::new(vec![1, 2, 1]),
             Err(RankError::DuplicateItem { item: 1 })
         );
+    }
+
+    #[test]
+    fn from_ranked_keeps_first_positions() {
+        assert_eq!(
+            TopKList::from_ranked([5, 3, 9]),
+            TopKList::new(vec![5, 3, 9]).unwrap()
+        );
+        assert_eq!(TopKList::from_ranked([1, 2, 1, 3, 2]).items(), &[1, 2, 3]);
     }
 
     #[test]

@@ -116,6 +116,51 @@ pub fn check_jaccard(db: &TupleIndependentDb) -> usize {
     checks + 1
 }
 
+/// Lemmas 1–2 on any tree shape, to `1e-12`: every prefix score of the
+/// dual-number Jaccard scan, and the expected distance the engine reports
+/// for both Jaccard variants, match the possible-worlds oracle.
+pub fn check_jaccard_scan(tree: &AndXorTree, seed: u64) -> usize {
+    const EXACT_TOL: f64 = 1e-12;
+    let ws = tree.enumerate_worlds();
+    let jaccard_distance = |a: &PossibleWorld, b: &PossibleWorld| a.jaccard_distance(b);
+    let assert_exact = |label: &str, got: f64, want: f64| {
+        assert!(
+            (got - want).abs() < EXACT_TOL,
+            "{label}: algorithm returned {got}, oracle computed {want} (|Δ| = {})",
+            (got - want).abs()
+        );
+    };
+
+    let (members, scores) = jaccard::prefix_scores(tree, &jaccard::prefix_candidates(tree));
+    for (w, &score) in scores.iter().enumerate() {
+        let prefix = PossibleWorld::new(members[..w].to_vec())
+            .expect("prefix candidates hold one alternative per key");
+        let brute = oracle::expected_world_distance(&prefix, &ws, jaccard_distance);
+        assert_exact("jaccard dual-number prefix score", score, brute);
+    }
+
+    let engine = ConsensusEngineBuilder::new(tree.clone())
+        .seed(seed)
+        .build()
+        .expect("default engine configuration is valid");
+    for variant in [Variant::Mean, Variant::Median] {
+        let answer = engine
+            .run(&Query::SetConsensus {
+                metric: SetMetric::Jaccard,
+                variant,
+            })
+            .expect("supported");
+        let world = answer.value.as_world().expect("set queries return worlds");
+        let brute = oracle::expected_world_distance(world, &ws, jaccard_distance);
+        assert_exact(
+            "engine jaccard expected distance",
+            answer.expected_distance,
+            brute,
+        );
+    }
+    scores.len() + 2
+}
+
 /// Theorem 3 / §5.3 / §5.4: the mean Top-k answers under symmetric
 /// difference, the intersection metric, and the footrule metric all match
 /// their closed-form expected distances and the enumerated optima; the Υ_H
@@ -1438,6 +1483,9 @@ pub fn run_seed(seed: u64) -> ConformanceSummary {
     checks += check_set_consensus(&ti_tree);
     checks += check_set_consensus(&bid_tree);
     checks += check_jaccard(&ti_db);
+    checks += check_jaccard_scan(&ti_tree, seed);
+    checks += check_jaccard_scan(&bid_tree, seed);
+    checks += check_jaccard_scan(&fixtures::small_clustering_tree(seed), seed);
     for k in 1..=3 {
         checks += check_topk_means(&bid_tree, k);
         checks += check_topk_median_dp(&bid_tree, k);

@@ -16,7 +16,8 @@
 //!   `engine.cache.*` entries of the unified snapshot equal the
 //!   [`CacheStats`](cpdb_engine::CacheStats) surface they fold in; each
 //!   artifact's build counter equals its build-latency histogram count;
-//!   query-latency histogram counts sum to the queries issued; and the
+//!   each query-latency series (per kind, and per metric and variant for
+//!   set and Top-k queries) counts the queries of that series issued; and the
 //!   flight recorder holds matching query start/finish event counts.
 //! * **Health transitions** — one permanent-outage fault schedule drives
 //!   the engine into degraded mode and back; the flight recorder must show
@@ -25,12 +26,16 @@
 
 use crate::conformance::{live_probe, random_live_delta};
 use cpdb_andxor::AndXorTree;
-use cpdb_engine::{Answer, ConsensusEngine, ConsensusEngineBuilder, EngineError, Query};
+use cpdb_engine::{
+    Answer, ConsensusEngine, ConsensusEngineBuilder, EngineError, Query, SetMetric, TopKMetric,
+    Variant,
+};
 use cpdb_live::LiveEngine;
 use cpdb_obs::{EventKind, MetricsSnapshot, Obs};
 use cpdb_store::{FaultVfs, RetryPolicy, StoreOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -123,9 +128,40 @@ fn assert_builds_spanned(snapshot: &MetricsSnapshot, artifact: &str, counter: &s
     );
 }
 
+/// The `engine.query.*` series a query's latency lands in.
+fn query_series(query: &Query) -> String {
+    let variant = |v: &Variant| match v {
+        Variant::Mean => "mean",
+        Variant::Median => "median",
+    };
+    match query {
+        Query::SetConsensus { metric, variant: v } => {
+            let metric = match metric {
+                SetMetric::SymmetricDifference => "sym_diff",
+                SetMetric::Jaccard => "jaccard",
+            };
+            format!("set_consensus.{metric}.{}", variant(v))
+        }
+        Query::TopK {
+            metric, variant: v, ..
+        } => {
+            let metric = match metric {
+                TopKMetric::SymmetricDifference => "sym_diff",
+                TopKMetric::Intersection => "intersection",
+                TopKMetric::Footrule => "footrule",
+                TopKMetric::Kendall => "kendall",
+            };
+            format!("topk.{metric}.{}", variant(v))
+        }
+        Query::Aggregate { .. } => "aggregate".to_string(),
+        Query::Clustering { .. } => "clustering".to_string(),
+        _ => "baseline".to_string(),
+    }
+}
+
 /// The unified snapshot must agree with the layer surfaces it folds in,
 /// and every query/build must leave exactly one trace.
-fn check_counter_conservation(run: &Run, obs: &Obs) -> usize {
+fn check_counter_conservation(run: &Run, probe: &[Query], obs: &Obs) -> usize {
     let snapshot = run.live.metrics_snapshot();
     let stats = run.live.snapshot().engine().cache_stats();
     let mut checks = 0;
@@ -163,18 +199,43 @@ fn check_counter_conservation(run: &Run, obs: &Obs) -> usize {
         checks += 1;
     }
 
-    // Every query recorded exactly one latency sample, whatever its kind.
-    let recorded: u64 = [
-        "set_consensus",
-        "topk",
-        "aggregate",
-        "clustering",
-        "baseline",
-    ]
-    .iter()
-    .filter_map(|kind| snapshot.histogram(&format!("engine.query.{kind}")))
-    .map(|h| h.count)
-    .sum();
+    // Every query recorded exactly one latency sample, in its kind's series:
+    // per metric and variant for set and Top-k queries.
+    let mut expected: HashMap<String, u64> = HashMap::new();
+    for query in probe {
+        *expected.entry(query_series(query)).or_default() += (STEPS + 1) as u64;
+    }
+    let mut series = vec![
+        "aggregate".to_string(),
+        "clustering".to_string(),
+        "baseline".to_string(),
+    ];
+    for (kind, metrics) in [
+        ("set_consensus", &["sym_diff", "jaccard"][..]),
+        (
+            "topk",
+            &["sym_diff", "intersection", "footrule", "kendall"][..],
+        ),
+    ] {
+        for metric in metrics {
+            for variant in ["mean", "median"] {
+                series.push(format!("{kind}.{metric}.{variant}"));
+            }
+        }
+    }
+    let mut recorded = 0;
+    for name in &series {
+        let count = snapshot
+            .histogram(&format!("engine.query.{name}"))
+            .unwrap_or_else(|| panic!("engine.query.{name} is not registered"))
+            .count;
+        assert_eq!(
+            count,
+            expected.get(name).copied().unwrap_or(0),
+            "engine.query.{name} disagrees with the queries of that series issued"
+        );
+        recorded += count;
+    }
     assert_eq!(
         recorded, run.queries_issued,
         "query-latency histograms disagree with the number of queries issued"
@@ -261,7 +322,7 @@ pub fn check_observability(tree: &AndXorTree, seed: u64) -> usize {
     let instrumented = run_workload(tree, seed, &probe, &obs);
     let plain = run_workload(tree, seed, &probe, &Obs::disabled());
     let mut checks = check_bit_transparency(&instrumented, &plain);
-    checks += check_counter_conservation(&instrumented, &obs);
+    checks += check_counter_conservation(&instrumented, &probe, &obs);
     checks += check_health_transitions(tree, seed, &probe, &plain);
     checks
 }
