@@ -153,8 +153,9 @@ impl ConsensusEngineBuilder {
         self
     }
 
-    /// Attaches an observability sink: per-query-kind and per-artifact
-    /// latency histograms plus query/artifact flight-recorder events. The
+    /// Attaches an observability sink: per-query-kind (per metric and
+    /// variant for set and Top-k queries) and per-artifact latency
+    /// histograms plus query/artifact flight-recorder events. The
     /// default is a disabled sink, which costs one branch per record site.
     /// Purely additive — answers are bit-identical with any sink attached.
     #[must_use = "builder methods return the updated builder"]
