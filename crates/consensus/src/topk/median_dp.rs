@@ -577,7 +577,7 @@ mod tests {
         ]));
         assert!(trees.len() >= 16);
         for (t, tree) in trees.iter().enumerate() {
-            for k in 1..=6 {
+            for k in 0..=6 {
                 let ctx = TopKContext::new(tree, k);
                 let got = median_topk_sym_diff(tree, &ctx);
                 let want = median_topk_sym_diff_reference(tree, &ctx);
